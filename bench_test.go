@@ -41,7 +41,7 @@ func mustRead(b *testing.B, path string) string {
 	return string(data)
 }
 
-func mustFrontend(b *testing.B, name, src string) (*sym.Info, *source.Diagnostics) {
+func mustFrontend(b testing.TB, name, src string) (*sym.Info, *source.Diagnostics) {
 	b.Helper()
 	diags := &source.Diagnostics{}
 	mod := parser.ParseSource(name, src, diags)

@@ -44,8 +44,10 @@ func canonicalReport(t *testing.T, rep *uafcheck.Report) []byte {
 }
 
 // determinismInputs is the test program set: a scaled-down corpus (all
-// generator patterns), the paper's figure programs, and a wide fanout
-// whose frontiers are broad enough to actually spin up wave workers.
+// generator patterns), the paper's figure programs, a wide fanout whose
+// frontiers are broad enough to actually spin up wave workers, and a
+// branch-ladder fanout whose fires fork several successors each, so
+// every worker reuses its scratch across many multi-combo fires.
 func determinismInputs(t *testing.T) []uafcheck.FileInput {
 	t.Helper()
 	var files []uafcheck.FileInput
@@ -64,6 +66,7 @@ func determinismInputs(t *testing.T) []uafcheck.FileInput {
 		files = append(files, uafcheck.FileInput{Name: path, Src: string(data)})
 	}
 	files = append(files, uafcheck.FileInput{Name: "fan.chpl", Src: syntheticFanout(7, 2)})
+	files = append(files, uafcheck.FileInput{Name: "ladder.chpl", Src: ladderFanout(6, 2)})
 	return files
 }
 
