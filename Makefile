@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test test-race vet fmt-check bench bench-all bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke cluster-loadtest check
+.PHONY: build test test-race vet fmt-check bench bench-all bench-check bench-incremental fuzz-short loadtest chaos repair-smoke cluster-smoke module-smoke cluster-loadtest check
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,13 @@ bench:
 # The full benchmark sweep (every table, figure and ablation).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
+
+# The benchmark harness is its own Go module (uafbench/go.mod), so
+# `go vet ./...` and `go test ./...` at the root never reach it. This
+# vets it and runs its tests (workload generators, reference verdicts,
+# metric aggregation) from inside the module.
+bench-check:
+	cd uafbench && $(GO) vet ./... && $(GO) test ./...
 
 # Cold vs warm single-edit latency of the incremental engine. Exits
 # nonzero if any warm report is not byte-identical to its cold

@@ -160,21 +160,44 @@ func (s Set) ForEach(f func(int)) {
 	}
 }
 
-// AppendKey appends a canonical binary encoding of the set to dst — used
-// to build merge keys. Trailing zero words are skipped so equal sets with
-// different capacities encode identically.
-func (s Set) AppendKey(dst []byte) []byte {
+// Words returns the number of 64-bit words backing the set.
+func (s Set) Words() int { return len(s.words) }
+
+// CopyTo copies s into the front of buf, which must hold at least
+// s.Words() words, and returns the copy together with the rest of buf.
+// The copy's capacity ends where its words do, so growing it
+// reallocates instead of writing into the rest of buf: callers carve
+// several sets out of one slab this way.
+func (s Set) CopyTo(buf []uint64) (Set, []uint64) {
+	n := len(s.words)
+	copy(buf[:n], s.words)
+	return Set{words: buf[:n:n]}, buf[n:]
+}
+
+// FNV-1a parameters, applied to whole words by Hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// HashSeed is the initial value to fold hashes from.
+const HashSeed uint64 = fnvOffset64
+
+// Mix folds v into the running hash h.
+func Mix(h, v uint64) uint64 { return (h ^ v) * fnvPrime64 }
+
+// Hash folds the set's words into the running hash h. Trailing zero
+// words are skipped, so equal sets with different capacities hash
+// alike.
+func (s Set) Hash(h uint64) uint64 {
 	last := len(s.words) - 1
 	for last >= 0 && s.words[last] == 0 {
 		last--
 	}
-	for i := 0; i <= last; i++ {
-		w := s.words[i]
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
+	for _, w := range s.words[:last+1] {
+		h = Mix(h, w)
 	}
-	return dst
+	return Mix(h, uint64(last+1))
 }
 
 // String renders "{1,5,9}".

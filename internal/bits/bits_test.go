@@ -44,6 +44,28 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// Sets carved from one slab are independent: growing the first
+// reallocates it instead of spilling into its neighbour.
+func TestCopyToCarvesIndependentSets(t *testing.T) {
+	a, b := New(64), New(64)
+	a.Add(3)
+	b.Add(5)
+	slab := make([]uint64, a.Words()+b.Words())
+	ca, rest := a.CopyTo(slab)
+	cb, rest := b.CopyTo(rest)
+	if len(rest) != 0 || !ca.Equal(a) || !cb.Equal(b) {
+		t.Fatalf("carved %v %v from %v %v", ca, cb, a, b)
+	}
+	ca.Add(64 + 7)
+	ca.Add(4)
+	if !cb.Equal(b) {
+		t.Errorf("growing the first set changed its neighbour: %v", cb)
+	}
+	if a.Has(4) {
+		t.Error("CopyTo aliases its source")
+	}
+}
+
 func TestElemsOrdered(t *testing.T) {
 	s := New(0)
 	for _, i := range []int{200, 5, 63, 64, 0} {
@@ -163,9 +185,9 @@ func TestDiffProperty(t *testing.T) {
 	}
 }
 
-// Property: Equal is capacity-insensitive and AppendKey canonical — two
-// sets with the same members but different internal capacities compare
-// equal and encode identically.
+// Property: Equal and Hash are capacity-insensitive — two sets with the
+// same members but different internal capacities compare equal and hash
+// identically.
 func TestEqualAndKeyCanonicalProperty(t *testing.T) {
 	check := func(xs []uint8) bool {
 		small, _ := fromInts(xs)
@@ -176,9 +198,7 @@ func TestEqualAndKeyCanonicalProperty(t *testing.T) {
 		if !small.Equal(big) || !big.Equal(small) {
 			return false
 		}
-		ka := string(small.AppendKey(nil))
-		kb := string(big.AppendKey(nil))
-		return ka == kb
+		return small.Hash(HashSeed) == big.Hash(HashSeed)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)

@@ -1,120 +1,71 @@
 package pps
 
-import "sync"
+import (
+	"bytes"
+
+	"uafcheck/internal/bits"
+)
 
 // This file is the hash-consing layer of the exploration: every PPS is
-// identified by a canonical byte encoding of its (ASN, state-table,
-// counter-vector) triple, compressed to a 64-bit FNV-1a key. The
-// interner maps that key to the canonical *PPS, so the §III-C merge rule
-// ("states with identical ASN and state table are folded") is one hash
-// lookup instead of a string-map probe, and the same key doubles as the
-// cycle/visited identity used by the worklist.
+// identified by its (ASN, state-table, counter-vector) triple, hashed to
+// a 64-bit key by word operations. The interner maps that key to the
+// canonical *PPS, so the §III-C merge rule ("states with identical ASN
+// and state table are folded") is one map probe plus a structural
+// comparison of the triple.
 //
-// The table is sharded 64 ways with per-shard RWMutexes so concurrent
-// wave workers may consult it while the committer writes. The committer
-// itself is single-threaded (see parallel.go), which is what keeps state
-// IDs, merge counts and warning order deterministic; the locking makes
-// the structure safe for the read-side traffic and for any future
-// concurrent committer.
+// Only the sequential commit loop (see parallel.go) touches the
+// interner, which is what keeps state IDs, merge counts and warning
+// order deterministic, so it needs no locking.
 
-const internShardCount = 64
+// interner maps an identity hash to the canonical states with that
+// hash, chained through PPS.hnext. A hash collision therefore costs a
+// comparison, never a wrong merge.
+type interner map[uint64]*PPS
 
-// interner is the concurrent hash-consing table: 64-bit canonical key →
-// canonical *PPS, with full-key comparison on hash collisions so a
-// collision can never merge two genuinely different states.
-type interner struct {
-	shards [internShardCount]internShard
-}
-
-type internShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]*PPS
-}
-
-func newInterner() *interner {
-	it := &interner{}
-	for i := range it.shards {
-		it.shards[i].m = make(map[uint64][]*PPS)
-	}
-	return it
-}
-
-// lookup returns the canonical PPS for the key, or nil.
-func (it *interner) lookup(h uint64, key []byte) *PPS {
-	s := &it.shards[h%internShardCount]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, p := range s.m[h] {
-		if bytesEqual(p.ckey, key) {
-			return p
+// lookup returns the canonical state with p's identity, or nil.
+func (it interner) lookup(p *PPS) *PPS {
+	for q := it[p.hkey]; q != nil; q = q.hnext {
+		if sameIdentity(q, p) {
+			return q
 		}
 	}
 	return nil
 }
 
-// insert registers p as the canonical state for its key. The caller
-// guarantees a prior lookup miss for the same key within the same
-// critical section of the (single-threaded) commit loop.
-func (it *interner) insert(p *PPS) {
-	s := &it.shards[p.hkey%internShardCount]
-	s.mu.Lock()
-	s.m[p.hkey] = append(s.m[p.hkey], p)
-	s.mu.Unlock()
+// insert registers p as the canonical state for its identity. The
+// caller guarantees a prior lookup miss.
+func (it interner) insert(p *PPS) {
+	p.hnext = it[p.hkey]
+	it[p.hkey] = p
 }
 
-// size returns the number of interned states.
-func (it *interner) size() int {
-	n := 0
-	for i := range it.shards {
-		s := &it.shards[i]
-		s.mu.RLock()
-		for _, b := range s.m {
-			n += len(b)
-		}
-		s.mu.RUnlock()
+// identityHash hashes the state's merge identity: the sync-node IDs of
+// the ASN (entries are sorted), the state-table words and the counter
+// vector. OV/SV/Visited are deliberately excluded: they are what
+// merging folds, not what identifies a state.
+func identityHash(p *PPS) uint64 {
+	h := bits.HashSeed
+	for _, en := range p.Entries {
+		h = bits.Mix(h, uint64(en.Sync.ID))
 	}
-	return n
+	h = bits.Mix(h, uint64(len(p.Entries)))
+	h = p.State.Hash(h)
+	for _, c := range p.Counters {
+		h = bits.Mix(h, uint64(c))
+	}
+	return h
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
+// sameIdentity reports whether a and b have the same (ASN, state-table,
+// counters) triple.
+func sameIdentity(a, b *PPS) bool {
+	if len(a.Entries) != len(b.Entries) || !bytes.Equal(a.Counters, b.Counters) || !a.State.Equal(b.State) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range a.Entries {
+		if a.Entries[i].Sync.ID != b.Entries[i].Sync.ID {
 			return false
 		}
 	}
 	return true
-}
-
-// FNV-1a parameters for the 64-bit canonical key.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// canonicalKey builds the canonical byte encoding of the state's
-// merge identity — sync-node IDs of the ASN (entries are sorted), the
-// state-table words, and the counter vector — plus its 64-bit FNV-1a
-// hash. OV/SV/Visited are deliberately excluded: they are what merging
-// folds, not what identifies a state.
-func canonicalKey(p *PPS) (uint64, []byte) {
-	buf := make([]byte, 0, len(p.Entries)*4+len(p.Counters)+18)
-	for _, en := range p.Entries {
-		id := en.Sync.ID
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	buf = append(buf, '|')
-	buf = p.State.AppendKey(buf)
-	if len(p.Counters) > 0 {
-		buf = append(buf, '|')
-		buf = append(buf, p.Counters...)
-	}
-	h := uint64(fnvOffset64)
-	for _, b := range buf {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h, buf
 }

@@ -14,32 +14,41 @@ import (
 // which state is deliberately irrelevant: every output lands in the
 // outs slot of its frontier index and the commit loop consumes the
 // slots in order, so scheduling noise can never reach the Result.
+// Worker w computes with scratch slot w alone, and nothing a state's
+// output holds is overwritten before the commit loop has read it, so
+// reusing the slots across states and waves is invisible too.
 //
 // minParallelFrontier keeps tiny waves on the inline path — below it
 // the goroutine handoff costs more than the states themselves, and the
 // small programs of the paper's figures never leave the fast path.
 const minParallelFrontier = 8
 
-// computeWave runs computeState for every frontier state and returns
-// the per-index outputs. The second return is true when a context
+// computeWave runs computeState for every frontier state, leaving the
+// output of frontier[i] in e.outs[i]. It returns true when a context
 // cancellation interrupted the wave — the partial outputs must then be
 // discarded, never committed.
-func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
-	outs := make([]*stepOut, len(frontier))
+func (e *explorer) computeWave(frontier []*PPS) bool {
+	if n := len(frontier) - len(e.outs); n > 0 {
+		e.outs = append(e.outs, make([]stepOut, n)...)
+	}
+	outs := e.outs
 	if e.par <= 1 || len(frontier) < minParallelFrontier {
+		sc := &e.scratchFor(1)[0]
+		sc.beginWave()
 		for i, p := range frontier {
 			if e.opts.Ctx != nil && i%ctxCheckInterval == 0 && e.opts.Ctx.Err() != nil {
-				return nil, true
+				return true
 			}
-			outs[i] = e.computeState(p)
+			e.computeState(p, sc, &outs[i])
 		}
-		return outs, false
+		return false
 	}
 
 	workers := e.par
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
+	scratch := e.scratchFor(workers)
 	q := newWaveQueue(len(frontier), workers)
 	var (
 		stop       atomic.Bool
@@ -68,6 +77,8 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 					stop.Store(true)
 				}
 			}()
+			sc := &scratch[self]
+			sc.beginWave()
 			polled := 0
 			for !stop.Load() {
 				i, ok := q.take(self)
@@ -80,7 +91,7 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 						return
 					}
 				}
-				outs[i] = e.computeState(frontier[i])
+				e.computeState(frontier[i], sc, &outs[i])
 			}
 		}(w)
 	}
@@ -88,10 +99,7 @@ func (e *explorer) computeWave(frontier []*PPS) ([]*stepOut, bool) {
 	if panicVal != nil {
 		panic(fmt.Sprintf("pps: wave worker panicked: %v\n%s", panicVal, panicStack))
 	}
-	if stop.Load() {
-		return nil, true
-	}
-	return outs, false
+	return stop.Load()
 }
 
 // waveQueue is the sharded work-stealing index queue of one wave: each
