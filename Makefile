@@ -78,7 +78,7 @@ fmt-check:
 	fi
 
 bench:
-	$(GO) test -bench='BenchmarkExplore(Seq|Par)|BenchmarkAnalyzeCached' -benchmem .
+	$(GO) test -bench='BenchmarkExplore(Seq|Par|Ladder)|BenchmarkAnalyzeCached' -benchmem .
 	$(GO) run ./cmd/uafcorpus -tests 400 -bench-out "" -pps-bench-out BENCH_pps.json
 
 # The full benchmark sweep (every table, figure and ablation).

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -240,6 +241,30 @@ func benchExploreWorkers(b *testing.B, par int) {
 		states = r.Stats.StatesProcessed
 	}
 	b.ReportMetric(float64(states), "states/op")
+}
+
+// BenchmarkExploreLadder explores the branch-ladder fanout of the
+// explore goldens at Parallelism 1. Every fire forks several successors
+// and most of them merge away, so allocs/state shows a per-state
+// regression of the merge path without the end-to-end harness.
+func BenchmarkExploreLadder(b *testing.B) {
+	info, _ := mustFrontend(b, "ladder.chpl", ladderFanout(5, 2))
+	diags := &source.Diagnostics{}
+	prog := ir.Lower(info, info.Module.Proc("ladder"), diags)
+	g := ccfg.Build(prog, diags, ccfg.DefaultBuildOptions())
+	opts := pps.Options{Parallelism: 1}
+	states := pps.Explore(g, opts).Stats.StatesProcessed
+	b.ReportAllocs()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pps.Explore(g, opts)
+	}
+	b.StopTimer()
+	goruntime.ReadMemStats(&after)
+	b.ReportMetric(float64(states), "states/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(states), "allocs/state")
 }
 
 // BenchmarkAnalyzeCached measures the content-addressed cache's hit

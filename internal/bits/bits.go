@@ -115,6 +115,26 @@ func (s *Set) DiffWith(t Set) {
 	}
 }
 
+// MoveTo moves the elements of s that are also in mask into dst,
+// reporting whether any moved.
+func (s *Set) MoveTo(dst *Set, mask Set) bool {
+	moved := false
+	for i, w := range s.words {
+		if i >= len(mask.words) {
+			break
+		}
+		if m := w & mask.words[i]; m != 0 {
+			for len(dst.words) <= i {
+				dst.words = append(dst.words, 0)
+			}
+			s.words[i] &^= m
+			dst.words[i] |= m
+			moved = true
+		}
+	}
+	return moved
+}
+
 // Equal reports set equality.
 func (s Set) Equal(t Set) bool {
 	n := len(s.words)

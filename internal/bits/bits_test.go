@@ -185,6 +185,42 @@ func TestDiffProperty(t *testing.T) {
 	}
 }
 
+// Property: MoveTo agrees with moving each element of s ∩ mask from s
+// to dst one by one, and reports whether any moved.
+func TestMoveToProperty(t *testing.T) {
+	check := func(a, m, d []uint8) bool {
+		s, ms := fromInts(a)
+		mask, mm := fromInts(m)
+		dst, md := fromInts(d)
+		moved := s.MoveTo(&dst, mask)
+		want := false
+		for k := range ms {
+			if mm[k] {
+				delete(ms, k)
+				md[k] = true
+				want = true
+			}
+		}
+		if moved != want || s.Len() != len(ms) || dst.Len() != len(md) {
+			return false
+		}
+		for k := range ms {
+			if !s.Has(k) {
+				return false
+			}
+		}
+		for k := range md {
+			if !dst.Has(k) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: Equal and Hash are capacity-insensitive — two sets with the
 // same members but different internal capacities compare equal and hash
 // identically.

@@ -24,14 +24,15 @@ import (
 const minParallelFrontier = 8
 
 // computeWave runs computeState for every frontier state, leaving the
-// output of frontier[i] in e.outs[i]. It returns true when a context
+// output of frontier[i] in e.scratch.outs[i]. It returns true when a context
 // cancellation interrupted the wave — the partial outputs must then be
 // discarded, never committed.
 func (e *explorer) computeWave(frontier []*PPS) bool {
-	if n := len(frontier) - len(e.outs); n > 0 {
-		e.outs = append(e.outs, make([]stepOut, n)...)
+	t := e.scratch
+	if n := len(frontier) - len(t.outs); n > 0 {
+		t.outs = append(t.outs, make([]stepOut, n)...)
 	}
-	outs := e.outs
+	outs := t.outs
 	if e.par <= 1 || len(frontier) < minParallelFrontier {
 		sc := &e.scratchFor(1)[0]
 		sc.beginWave()

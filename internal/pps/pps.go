@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -471,13 +470,19 @@ type explorer struct {
 	traceID  string
 
 	// scratch holds one slot per compute worker: slot w belongs to wave
-	// worker w alone (slot 0 also serves the sequential path), so
-	// concurrent workers never share buffers. Grown by the wave loop
-	// between waves; see scratch.
-	scratch []scratch
-	// outs holds one compute output per frontier index, reused from
-	// wave to wave; workers write disjoint slots.
-	outs []stepOut
+	// worker w alone (slot 0 also serves the root expansion and the
+	// sequential path), so concurrent workers never share buffers. Taken
+	// from scratchPool for the run and grown between waves; bound counts
+	// the slots bound to this graph. See scratch.
+	scratch *scratchTable
+	bound   int
+	// states, entries and words hold the canonical states: a candidate
+	// that survives the merge is copied here (materialize). They are
+	// never rewound, because the interner keeps every canonical state
+	// for the whole run.
+	states  chunks[PPS]
+	entries chunks[Entry]
+	words   chunks[uint64]
 	// seen is the commit loop's own node bitset for deduplicating
 	// pending lists in mergePending: allocated on first use and left
 	// empty between uses.
@@ -497,27 +502,27 @@ func (e *explorer) run() {
 		}
 	}
 	var hit bool
-	// The root expansion multiplies every task's branch arms and can be
-	// far larger than any fire's, so it gets its own scratch, which is
-	// dropped once the initial states are built instead of being held by
-	// a worker slot for the whole run.
-	sc := &scratch{}
+	e.scratch = scratchPool.Get().(*scratchTable)
+	sc := &e.scratchFor(1)[0]
 	outs := e.expand(sc, e.g.Root().Entry, nil, &hit)
 	if hit {
 		e.budgetHit = true
 	}
 	noAccesses, noNodes := bits.New(len(e.g.Accesses)), bits.New(len(e.g.Nodes))
 	for i := outs.lo; i < outs.hi; i++ {
-		sets := carveSets(initState, noAccesses, noAccesses, noNodes)
-		p := &PPS{
-			Entries:  sortEntries(sc.appendEnts(make([]Entry, 0, sc.outs[i].nEnts), i)),
+		sets := carveSets(&sc.words, initState, noAccesses, noAccesses, noNodes)
+		p := &sc.states.take(1)[0]
+		*p = PPS{
+			Entries:  sortEntries(sc.appendEnts(sc.entries.take(sc.outs[i].nEnts)[:0], i)),
 			State:    sets.state,
 			Counters: append([]uint8(nil), e.g.CounterInit...),
 			OV:       sets.ov,
 			SV:       sets.sv,
 			Visited:  sets.visited,
 			Remark:   "initial",
-			Trailing: sc.appendDang(nil, i),
+		}
+		if e.mhp != nil {
+			p.Trailing = sc.appendDang(nil, i)
 		}
 		e.promote(p)
 		if !e.opts.DisableMerge {
@@ -525,6 +530,10 @@ func (e *explorer) run() {
 		}
 		e.admit(p)
 	}
+	// The root expansion multiplies every task's branch arms and can be
+	// far larger than any fire's, so its arenas are shed instead of
+	// being held by slot 0 for the whole run.
+	sc.shed()
 
 	// Bulk-synchronous wave loop: compute every frontier state in
 	// parallel, then commit the buffered outputs in frontier order. The
@@ -570,11 +579,12 @@ func (e *explorer) run() {
 			break
 		}
 		for i, p := range frontier {
-			e.commitState(p, &e.outs[i])
+			e.commitState(p, &e.scratch.outs[i])
 		}
 		e.spare = frontier
 		wsp.End()
 	}
+	e.releaseScratch()
 	switch {
 	case e.ctxStop != StopNone:
 		e.res.Stats.Stop = e.ctxStop
@@ -608,8 +618,8 @@ func (e *explorer) run() {
 			}
 		}
 	}
-	sort.SliceStable(e.res.Unsafe, func(i, j int) bool {
-		return e.res.Unsafe[i].Access.Sp.Start < e.res.Unsafe[j].Access.Sp.Start
+	slices.SortStableFunc(e.res.Unsafe, func(a, b Unsafe) int {
+		return cmp.Compare(a.Access.Sp.Start, b.Access.Sp.Start)
 	})
 }
 
@@ -701,6 +711,28 @@ func sortEntries(entries []Entry) []Entry {
 	return entries
 }
 
+// mergeEntries writes to dst, in sync node order, the entries of the
+// sorted ASN old except those at the ascending indices fired, together
+// with the sorted entries fresh. On equal sync nodes old's entry comes
+// first, as a stable sort of the remaining entries followed by fresh
+// would order them.
+func mergeEntries(dst, old []Entry, fired []int, fresh []Entry) {
+	d, f, k := 0, 0, 0
+	for i, en := range old {
+		if k < len(fired) && fired[k] == i {
+			k++
+			continue
+		}
+		for f < len(fresh) && fresh[f].Sync.ID < en.Sync.ID {
+			dst[d] = fresh[f]
+			d, f = d+1, f+1
+		}
+		dst[d] = en
+		d++
+	}
+	copy(dst[d:], fresh[f:])
+}
+
 // ruleNumber maps sync ops to the paper's rule numbering used in the
 // Figure 3/7 remarks: 1 = SINGLE-READ, 2 = READ, 3 = WRITE. The atomics
 // extension adds 4 = ATOMIC-FILL and 5 = ATOMIC-WAIT.
@@ -766,6 +798,8 @@ type reportCand struct {
 
 // stepOut buffers everything one state's compute produces. The commit
 // phase applies it to the shared explorer state in frontier order.
+// succs are the state's successor candidates, which live in the
+// computing worker's scratch until the next wave.
 type stepOut struct {
 	sink      bool
 	rows      []TraceRow
@@ -873,32 +907,14 @@ func (e *explorer) computeState(p *PPS, sc *scratch, out *stepOut) {
 	}
 }
 
-// stateSets are the four bitsets of a state, carved from one slab.
-type stateSets struct {
-	state, ov, sv, visited bits.Set
-}
-
-// carveSets copies the four sets into one freshly allocated slab. Each
-// copy's capacity ends at its own words, so growth can never spill into
-// a neighbour.
-func carveSets(state, ov, sv, visited bits.Set) stateSets {
-	buf := make([]uint64, state.Words()+ov.Words()+sv.Words()+visited.Words())
-	var s stateSets
-	s.state, buf = state.CopyTo(buf)
-	s.ov, buf = ov.CopyTo(buf)
-	s.sv, buf = sv.CopyTo(buf)
-	s.visited, _ = visited.CopyTo(buf)
-	return s
-}
-
 // computeFire executes the chosen entries (a single READ/WRITE, or a
-// batch of SINGLE-READs; idxs ascending), buffering one successor PPS
-// per branch-arm combination of the freed strands into out. Successors
-// get their identity hash here, in the parallel phase, so the commit
-// loop only probes the interner.
+// batch of SINGLE-READs; idxs ascending), buffering one successor
+// candidate per branch-arm combination of the freed strands in sc.
+// Candidates are promoted and get their identity hash here, in the
+// parallel phase, so the commit loop only probes the interner.
 func (e *explorer) computeFire(p *PPS, idxs []int, sc *scratch, out *stepOut) {
 	sc.reset()
-	work := carveSets(p.State, p.OV, p.SV, p.Visited)
+	work := carveSets(&sc.words, p.State, p.OV, p.SV, p.Visited)
 
 	attribute := func(n *ccfg.Node) {
 		if work.visited.Has(n.ID) {
@@ -985,9 +1001,6 @@ func (e *explorer) computeFire(p *PPS, idxs []int, sc *scratch, out *stepOut) {
 	if len(idxs) == 1 {
 		// A single fire's remark depends only on its sync node.
 		id := p.Entries[idxs[0]].Sync.ID
-		if sc.remarks == nil {
-			sc.remarks = make([]string, len(e.g.Nodes))
-		}
 		if sc.remarks[id] == "" {
 			sc.remarks[id] = string(remark)
 		}
@@ -996,36 +1009,27 @@ func (e *explorer) computeFire(p *PPS, idxs []int, sc *scratch, out *stepOut) {
 		remarkStr = string(remark)
 	}
 
-	sc.remaining = sc.remaining[:0]
-	k := 0
-	for i, en := range p.Entries {
-		if k < len(idxs) && idxs[k] == i {
-			k++
-			continue
-		}
-		sc.remaining = append(sc.remaining, en)
-	}
-
 	combos := e.product(sc, 0, &out.budgetHit)
 	for ci := combos.lo; ci < combos.hi; ci++ {
 		// The last combination takes the working sets; the others copy
 		// them before any successor's promote touches its own.
 		sets := work
 		if ci < combos.hi-1 {
-			sets = carveSets(work.state, work.ov, work.sv, work.visited)
+			sets = carveSets(&sc.words, work.state, work.ov, work.sv, work.visited)
 		}
-		entries := make([]Entry, 0, len(sc.remaining)+sc.outs[ci].nEnts)
-		entries = append(entries, sc.remaining...)
-		entries = sc.appendEnts(entries, ci)
+		sc.fresh = sortEntries(sc.appendEnts(sc.fresh[:0], ci))
+		entries := sc.entries.take(len(p.Entries) - len(idxs) + len(sc.fresh))
+		mergeEntries(entries, p.Entries, idxs, sc.fresh)
 		var trailing [][]*ccfg.Node
 		if e.mhp != nil {
 			trailing = make([][]*ccfg.Node, 0, len(p.Trailing)+sc.outs[ci].nDang)
 			trailing = append(trailing, p.Trailing...)
 			trailing = sc.appendDang(trailing, ci)
 		}
-		np := &PPS{
+		np := &sc.states.take(1)[0]
+		*np = PPS{
 			TS:       p.TS + 1,
-			Entries:  sortEntries(entries),
+			Entries:  entries,
 			State:    sets.state,
 			Counters: counters,
 			OV:       sets.ov,
@@ -1080,8 +1084,8 @@ func (e *explorer) commitState(p *PPS, out *stepOut) {
 	}
 	e.res.Trace = append(e.res.Trace, out.rows...)
 	e.res.Stats.StatesProcessed++
-	// Drop the successor window, so a later wave with a smaller frontier
-	// does not keep merged-away states alive through this slot.
+	// Drop the candidate window: the worker's next wave overwrites the
+	// candidates it points at.
 	out.reset()
 }
 
@@ -1090,39 +1094,34 @@ func (e *explorer) commitState(p *PPS, out *stepOut) {
 // were synchronized before the frontier and move to the safe set.
 func (e *explorer) promote(p *PPS) {
 	for _, en := range p.Entries {
-		if !e.executable(en, p.State, p.Counters) {
+		pf := e.syncNodes[en.Sync.ID].pf
+		if len(pf) == 0 || !e.executable(en, p.State, p.Counters) {
 			continue
 		}
-		for _, v := range e.syncNodes[en.Sync.ID].pf {
-			moved := false
-			v.accesses.ForEach(func(id int) {
-				if p.OV.Has(id) {
-					p.OV.Remove(id)
-					p.SV.Add(id)
-					moved = true
-				}
-			})
-			if moved {
+		for _, v := range pf {
+			if p.OV.MoveTo(&p.SV, v.accesses) {
 				p.Remark += " PF(" + v.name + ")"
 			}
 		}
 	}
 }
 
-// admit inserts a freshly computed PPS into the next frontier, merging
-// with the canonical state of identical (ASN, state-table, counters)
-// identity via the interner (§III-C). It returns the canonical state —
-// the merge target when one exists, otherwise p itself with its newly
-// assigned ID — so trace edges always point at a real state. Runs only
-// on the commit path; p.hkey must be set unless merging is disabled.
-func (e *explorer) admit(p *PPS) *PPS {
+// admit inserts a successor candidate into the next frontier, merging
+// it into the canonical state of identical (ASN, state-table, counters)
+// identity via the interner (§III-C). A merged candidate is read in
+// place; only a miss materializes it into a new canonical state. It
+// returns the canonical state — the merge target or the new state with
+// its newly assigned ID — so trace edges always point at a real state.
+// Runs only on the commit path; c.hkey must be set unless merging is
+// disabled.
+func (e *explorer) admit(c *PPS) *PPS {
 	e.res.Stats.StatesForked++
 	// The attributed nodes of a successor feed the final never-visited
 	// sweep even when the state itself merges away.
-	e.everVisited.UnionWith(p.Visited)
+	e.everVisited.UnionWith(c.Visited)
 	if !e.opts.DisableMerge {
-		if old := e.intern.lookup(p); old != nil {
-			if e.merge(old, p) && !old.queued {
+		if old := e.intern.lookup(c); old != nil {
+			if e.merge(old, c) && !old.queued {
 				old.queued = true
 				e.next = append(e.next, old)
 			}
@@ -1130,6 +1129,7 @@ func (e *explorer) admit(p *PPS) *PPS {
 			return old
 		}
 	}
+	p := e.materialize(c)
 	p.ID = e.nextID
 	e.nextID++
 	e.res.Stats.StatesCreated++
@@ -1138,6 +1138,20 @@ func (e *explorer) admit(p *PPS) *PPS {
 	}
 	p.queued = true
 	e.next = append(e.next, p)
+	return p
+}
+
+// materialize copies candidate c, which lives in a worker's scratch,
+// into a canonical state in explorer-owned memory: its value, its
+// entries and its four sets. Pending lists, counters and trailing
+// segments are never rewritten in place, so the copy shares them.
+func (e *explorer) materialize(c *PPS) *PPS {
+	p := &e.states.take(1)[0]
+	*p = *c
+	p.Entries = e.entries.take(len(c.Entries))
+	copy(p.Entries, c.Entries)
+	sets := carveSets(&e.words, c.State, c.OV, c.SV, c.Visited)
+	p.State, p.OV, p.SV, p.Visited = sets.state, sets.ov, sets.sv, sets.visited
 	return p
 }
 
@@ -1180,12 +1194,24 @@ func (e *explorer) merge(dst, src *PPS) bool {
 }
 
 // mergePending appends to *dst the nodes of src it lacks, in src order,
-// and reports whether it appended any. Appends always copy *dst first:
-// successors share pending lists with their parent and siblings, so
-// appending into spare capacity could overwrite another state's nodes.
+// and reports whether it appended any. The first append always copies
+// *dst: successors share pending lists with their parent and siblings,
+// so appending into spare capacity could overwrite another state's
+// nodes. Later appends go to that private copy.
 func (e *explorer) mergePending(dst *[]*ccfg.Node, src []*ccfg.Node) bool {
 	have := *dst
-	if len(src) == 0 || len(have) == len(src) && &have[0] == &src[0] {
+	if len(src) == 0 || len(have) >= len(src) && &have[0] == &src[0] {
+		// src is a prefix of have's own backing array.
+		return false
+	}
+	// The paths of one strand share their start, so only src past the
+	// common prefix can hold new nodes.
+	i := 0
+	for i < len(have) && i < len(src) && have[i] == src[i] {
+		i++
+	}
+	tail := src[i:]
+	if len(tail) == 0 {
 		return false
 	}
 	if e.seen.Words() == 0 {
@@ -1195,12 +1221,16 @@ func (e *explorer) mergePending(dst *[]*ccfg.Node, src []*ccfg.Node) bool {
 		e.seen.Add(nd.ID)
 	}
 	grew := false
-	for _, nd := range src {
-		if !e.seen.Has(nd.ID) {
-			have = append(have[:len(have):len(have)], nd)
-			e.seen.Add(nd.ID)
+	for _, nd := range tail {
+		if e.seen.Has(nd.ID) {
+			continue
+		}
+		if !grew {
+			have = have[:len(have):len(have)]
 			grew = true
 		}
+		have = append(have, nd)
+		e.seen.Add(nd.ID)
 	}
 	for _, nd := range have {
 		e.seen.Remove(nd.ID)
@@ -1282,14 +1312,14 @@ func FormatTrace(rows []TraceRow) string {
 		}
 	}
 	rows = uniq
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
+	slices.SortStableFunc(rows, func(a, b TraceRow) int { return cmp.Compare(a.ID, b.ID) })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-4s %-3s %-16s %-24s %-24s %-20s %s\n",
 		"ID", "TS", "ASN", "OV", "SV", "states", "remark")
 	for _, r := range rows {
 		asn := make([]string, len(r.ASN))
 		for i, id := range r.ASN {
-			asn[i] = fmt.Sprintf("%d", id)
+			asn[i] = strconv.Itoa(id)
 		}
 		fmt.Fprintf(&b, "%-4d %-3d %-16s %-24s %-24s %-20s %s\n",
 			r.ID, r.TS,
@@ -1317,12 +1347,12 @@ func FormatTraceDOT(r *Result) string {
 	for id := range last {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		row := last[id]
 		asn := make([]string, len(row.ASN))
 		for i, n := range row.ASN {
-			asn[i] = fmt.Sprintf("%d", n)
+			asn[i] = strconv.Itoa(n)
 		}
 		label := fmt.Sprintf("PPS %d\\nASN {%s}\\n%s",
 			row.ID, strings.Join(asn, ","), strings.Join(row.States, " "))

@@ -92,8 +92,12 @@ func TestLoadEndToEnd(t *testing.T) {
 	serveBin := buildBinary(t, dir, "uafcheck/cmd/uafserve")
 	checkBin := buildBinary(t, dir, "uafcheck/cmd/uafcheck")
 
+	// Every analysis sleeps 50ms first, so the dedup, overload and drain
+	// steps find their requests in flight together however fast the
+	// analysis itself is.
 	base, cmd := startServer(t, serveBin,
-		"-inflight", "2", "-queue", "2", "-cache-dir", filepath.Join(dir, "cache"))
+		"-inflight", "2", "-queue", "2", "-cache-dir", filepath.Join(dir, "cache"),
+		"-faults", "analysis.delay=delay:1:0:50ms")
 	defer cmd.Process.Kill()
 
 	files := loadCorpus(t)

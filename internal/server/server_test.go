@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"uafcheck"
+	"uafcheck/internal/fault"
 	"uafcheck/internal/obs"
 	"uafcheck/internal/wire"
 )
@@ -45,9 +46,11 @@ func loadCorpus(t *testing.T) []uafcheck.FileInput {
 }
 
 // fanoutSrc generates a synthetic proc whose PPS state space grows with
-// tasks — the knob for "slow enough to observe in flight". The proc
-// name participates in the content address, so distinct names defeat
-// both the dedup layer and the report cache.
+// tasks — the knob for an analysis that outlasts a deadline. Tests
+// that need requests in flight together hold them with holdAnalyses
+// instead, because exploration speed is not theirs to rely on. The
+// proc name participates in the content address, so distinct names
+// defeat both the dedup layer and the report cache.
 func fanoutSrc(name string, tasks int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "config const flag = true;\nproc %s() {\n  var x: int = 1;\n", name)
@@ -62,6 +65,15 @@ func fanoutSrc(name string, tasks int) string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
+}
+
+// holdAnalyses makes every per-procedure analysis sleep for d before it
+// runs, so that concurrent requests are in flight together however fast
+// the analysis itself is. It returns the function that disarms it.
+func holdAnalyses(d time.Duration) (restore func()) {
+	return fault.Set(fault.New(1, fault.Rule{
+		Point: fault.AnalysisDelay, Mode: fault.ModeDelay, Prob: 1, Delay: d,
+	}))
 }
 
 // newTestServer wires a Server into an httptest listener.
@@ -139,6 +151,7 @@ func TestAnalyzeByteIdentity(t *testing.T) {
 // with slow distinct requests; the rest must be rejected immediately
 // with 429 + Retry-After, and nobody's connection may be dropped.
 func TestOverloadReturns429(t *testing.T) {
+	defer holdAnalyses(100 * time.Millisecond)()
 	srv, ts := newTestServer(t, Config{MaxInflight: 1, QueueDepth: 1})
 
 	const n = 6
@@ -189,6 +202,7 @@ func TestOverloadReturns429(t *testing.T) {
 // one analysis runs, everyone gets byte-identical 200 bodies, and the
 // dedup counter records the followers.
 func TestDedupSingleflight(t *testing.T) {
+	defer holdAnalyses(100 * time.Millisecond)()
 	srv, ts := newTestServer(t, Config{MaxInflight: 2, QueueDepth: 16})
 
 	const n = 8
@@ -227,6 +241,7 @@ func TestDedupSingleflight(t *testing.T) {
 // every admitted request must still receive its complete 200 response,
 // and post-drain requests must get 503.
 func TestGracefulShutdown(t *testing.T) {
+	defer holdAnalyses(200 * time.Millisecond)()
 	srv, ts := newTestServer(t, Config{MaxInflight: 8, QueueDepth: 8,
 		Cache: uafcheck.NewCache(uafcheck.CacheConfig{Dir: t.TempDir(), AsyncDiskWrites: 64})})
 

@@ -89,6 +89,20 @@ func startService(t *testing.T, roots []string, hang time.Duration) (*Service, *
 }
 
 // waitFor polls cond until it holds or the deadline passes.
+// replaceFile swaps in new content for a watched file with a rename,
+// so a poll never reads the truncated file os.WriteFile leaves between
+// its truncate and its write. The temporary name does not end in
+// .chpl, so the scan ignores it.
+func replaceFile(t *testing.T, path, src string) {
+	t.Helper()
+	if err := os.WriteFile(path+".tmp", []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -191,9 +205,7 @@ func TestWedgeRecovery(t *testing.T) {
 		Delay: 30 * time.Second,
 	}))
 	defer restore()
-	if err := os.WriteFile(path, []byte(editedSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	replaceFile(t, path, editedSrc)
 
 	waitFor(t, "watchdog abandon", func() bool {
 		return svc.Status().Abandoned >= 1
@@ -227,9 +239,7 @@ func TestWedgeRecovery(t *testing.T) {
 
 	// And the restarted analyzer is actually serving: an edit that
 	// fixes the bug produces a removal diff.
-	if err := os.WriteFile(path, []byte(fixedSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	replaceFile(t, path, fixedSrc)
 	waitFor(t, "post-restart diff", func() bool {
 		return strings.Contains(out.String(), "- "+path)
 	})
